@@ -21,7 +21,7 @@ UNIT = re.compile(r"[A-Za-z0-9_/%.-]{1,16}")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench import checks, run, workloads  # noqa: E402
+from perfbench import checks, run, steady, workloads  # noqa: E402
 from repro import graphs  # noqa: E402
 from repro.core.lca import BatchQueryResult  # noqa: E402
 from repro.core.registry import create  # noqa: E402
@@ -173,3 +173,45 @@ def test_command_fails_when_the_service_flips_one_answer(workload, monkeypatch, 
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 1
     assert result["correct"] is False and result["failed"] >= 1
+
+
+def _report(values_by_metric):
+    return {
+        "workload": "serve-dense", "runs": 4, "seeds": [1, 2, 3, 4], "host": {},
+        "wall_s": [1.0] * 4,
+        "metrics": {
+            name: {"unit": "s", **steady.summarize(values, 0.25)}
+            for name, values in values_by_metric.items()
+        },
+    }
+
+
+def test_steadiness_report_flags_every_metric_over_its_bound_setup_too(capsys):
+    steady_values = [1.0, 1.01, 0.99, 1.0]
+    noisy = [1.0, 2.0, 0.5, 1.5]
+    assert steady.print_report(_report({"ops_per_s": steady_values})) == 0
+    assert steady.print_report(_report({"setup_s": noisy, "ops_per_s": noisy})) == 2
+    assert capsys.readouterr().out.count("OVER BOUND") == 2
+
+
+def test_compare_flags_a_median_that_moved_beyond_its_bound(capsys):
+    first = {"workloads": [_report({"setup_s": [1.0, 1.0, 1.0, 1.0],
+                                    "ops_per_s": [1.0, 1.0, 1.0, 1.0]})]}
+    second = {"workloads": [_report({"setup_s": [1.3, 1.3, 1.3, 1.3],
+                                     "ops_per_s": [1.1, 1.1, 1.1, 1.1]})]}
+    assert steady.compare(first, first) == 0
+    assert steady.compare(first, second) == 1
+    assert "setup_s" in [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                         if line.endswith("OVER BOUND")]
+
+
+def test_permuted_reads_give_every_orientation_once_per_pass():
+    graph = graphs.gnp_graph(30, 0.3, seed=6).to_backend("csr")
+    reads = workloads._PermutedReads(graph, seed=6)
+    orientations = {o for u, v in graph.edge_list() for o in ((u, v), (v, u))}
+    for _ in range(2):
+        taken = []
+        while chunk := reads.take(7):
+            taken.extend(chunk)
+        assert sorted(taken) == sorted(orientations)
+        reads.next_pass()

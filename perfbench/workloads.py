@@ -8,15 +8,26 @@ timed region, and handed to the program through ``TraceWorkload``; the
 graphs and LCA seeds are fixed instances (:data:`GRAPH_SEED`,
 :data:`LCA_SEED`).
 
-``setup_s`` is the median of :data:`SETUP_REPS` identical set-ups in the
-run, the last of which is kept for the timed phase.  The timed phase runs
-the op stream in chunks (one ``ServiceEngine.run`` per chunk, or one
-materialization round) until ``seconds`` of chunk time have accumulated
-or, on ``serve-dense``, its one pass over the edges is done; ``ops_per_s``
-is the median chunk rate.  In a traced run every second chunk is traced,
-so traced and untraced chunks see the same cache warmth and their
-throughput ratio is the tracing overhead; per-layer numbers cover the
-traced set-up and the traced chunks.
+``setup_s`` is measured once per run, cold: the program import (timed by
+``run.py`` from the start of the process) plus the one set-up whose state
+the timed phase then uses, so one-time costs on first use show in it.  The
+timed phase runs the op stream in chunks (one ``ServiceEngine.run`` per
+chunk, or one materialization round) until ``seconds`` of chunk time have
+accumulated.
+
+``ops_per_s`` is the work of all untraced chunks over their summed time,
+and the read latency percentiles pool all their reads.  The host's speed
+swings by up to half for seconds at a time with the same program work,
+and each CPU swings on its own.  So consecutive pairs of chunks take turns
+on the CPUs the process may use (:func:`_pin`), and the sums average over
+all of them; a sum moves in proportion to the share of the run spent in a
+slow spell, where a median or other quantile of the chunk rates would jump
+from one speed to the other once that share crosses it.
+
+In a traced run every second chunk is traced, so traced and untraced
+chunks see the same cache warmth and their throughput ratio is the
+tracing overhead; per-layer numbers cover the traced set-up and the traced
+chunks.
 """
 
 from __future__ import annotations
@@ -52,8 +63,8 @@ from .spans import SpanRecorder
 
 clock = time.perf_counter
 
-#: Identical set-ups per run; ``setup_s`` is their median.
-SETUP_REPS = 3
+#: The CPUs this process may run on; timed chunks take turns on them.
+CPUS = sorted(os.sched_getaffinity(0))
 
 #: Every workload runs on one fixed graph instance and one fixed LCA random
 #: tape, so that runs on different ``--seed`` values do the same program work
@@ -71,9 +82,8 @@ MIN_TAIL_BATCHES = 10
 SIZES: Dict[str, Dict[str, dict]] = {
     "full": {
         # Every degree exceeds sqrt(n), so every read takes the center rule.
-        # The timed phase is one pass over the 2m = 137k edge orientations
-        # (about 7-11 s here), stopped early at --seconds on a slower host.
-        "serve-dense": dict(n=1400, p=0.07, shards=4, batch=16, warmup=4096,
+        # A pass over the 2m = 100k edge orientations takes 6-9 s here.
+        "serve-dense": dict(n=1000, p=0.1, shards=4, batch=16, warmup=4096,
                             chunk=1024, stride=499),
         # Batch size 1: a read behind a write pays the kernel rebuild, and
         # p99 needs >= 1000 batch stamps at a few hundred ops/s.
@@ -83,9 +93,14 @@ SIZES: Dict[str, Dict[str, dict]] = {
         # round.  About half the spanner3 and spanner5 cold reads end at a
         # 3-5 probe rule and the rest scan hundreds of probes, so their
         # medians sit on a tenfold cliff; spannerk's spread smoothly.
-        "materialize": dict(s3_n=600, s3_p=0.12, s5_n=300, s5_p=0.05, sk_n=200,
-                            latency_reads=200, sample=300),
-        "serve-scale": dict(n=200_000, shards=2, batch=16, warmup=1024, chunk=4096,
+        # spanner3's G(400, 0.25) has mean degree 100 > n^{3/4} = 89, so
+        # most of its edges are super and the rest high.
+        "materialize": dict(s3_n=400, s3_p=0.25, s5_n=300, s5_p=0.05, sk_n=200,
+                            latency_reads=400, sample=300),
+        # The warm-up prefix holds about 160 hub-hub reads, so every shard
+        # builds its scan tables (about 3 s) in set-up whatever the seed;
+        # about 20 are not always enough.
+        "serve-scale": dict(n=200_000, shards=2, batch=16, warmup=8192, chunk=4096,
                             memo_cap=512, hub_period=50, stride=999),
     },
     "tiny": {
@@ -93,7 +108,7 @@ SIZES: Dict[str, Dict[str, dict]] = {
                             stride=64),
         "serve-churn": dict(n=80, p=0.3, shards=2, batch=1, warmup=20, chunk=40,
                             write_period=20),
-        "materialize": dict(s3_n=80, s3_p=0.3, s5_n=60, s5_p=0.1, sk_n=40,
+        "materialize": dict(s3_n=80, s3_p=0.4, s5_n=60, s5_p=0.1, sk_n=40,
                             latency_reads=20, sample=30),
         "serve-scale": dict(n=3000, shards=2, batch=8, warmup=64, chunk=256,
                             memo_cap=64, hub_period=20, stride=128),
@@ -193,6 +208,11 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _pin(turn: int) -> None:
+    """Move this process to CPU ``turn`` (cyclically), or back to all of them with -1."""
+    os.sched_setaffinity(0, CPUS if turn < 0 else {CPUS[turn % len(CPUS)]})
+
+
 def _maybe_span(recorder: Optional[SpanRecorder], name: str):
     return nullcontext() if recorder is None else recorder.span(name)
 
@@ -266,18 +286,24 @@ class _ChurnOps:
 
 
 class _PermutedReads:
-    """Every edge orientation exactly once, in a seeded random order.
+    """Passes over every edge orientation, each in a new seeded random order.
 
-    No read repeats, so the whole-answer memo never hits and throughput does
-    not drift upward as answers accumulate; per-vertex state is shared.  The
-    stream ends after one pass: the work of a run is fixed, and a faster
-    program finishes it sooner instead of growing the memo further.
+    No read repeats within a pass, so the whole-answer memo never hits and
+    throughput does not drift upward as answers accumulate; per-vertex
+    state is shared.  :meth:`take` returns nothing at the end of a pass;
+    the run then drops every shard's memo (see ``ServeSpec.next_pass``) and
+    starts the next pass, so each pass does the same work.
     """
 
     def __init__(self, graph, seed: int) -> None:
         self._edges = graph.edge_list()
+        self._rng = random.Random(f"serve-dense:{seed}")
+        self._order = array("q")
+        self.next_pass()
+
+    def next_pass(self) -> None:
         self._order = array("q", range(2 * len(self._edges)))
-        random.Random(f"serve-dense:{seed}").shuffle(self._order)
+        self._rng.shuffle(self._order)
 
     def take(self, count: int) -> list:
         ops = []
@@ -351,6 +377,9 @@ class ServeSpec:
     #: writes, whose whole stream is replayed; the others replay a strided
     #: sample of reads in cold mode (see :mod:`perfbench.checks`).
     rebuild: Optional[Callable] = None
+    #: Whether the op source runs out after each pass over the edges; the
+    #: shards' memos are then dropped and ``ops.next_pass()`` starts anew.
+    passes: bool = False
 
 
 @dataclass
@@ -375,6 +404,7 @@ def _dense_spec(size: dict) -> ServeSpec:
         build=build,
         make_lca=lambda graph: create("spanner3", graph, seed=LCA_SEED),
         make_ops=lambda graph, seed, lca: _PermutedReads(graph, seed),
+        passes=True,
     )
 
 
@@ -540,19 +570,13 @@ class _TraceTotals:
         self.imbalance.append(report.shard_imbalance())
 
 
-def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) -> Outcome:
+def run_serve(
+    spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir, import_s: float
+) -> Outcome:
     size = spec.size
     outcome = Outcome()
     recorder = SpanRecorder() if trace else None
-    setups = []
-    state = None
-    for rep in range(1 if trace else SETUP_REPS):
-        if state is not None:
-            state.close()
-            state = None
-            gc.collect()
-        state = _setup_serve(spec, seed, recorder, workdir)
-        setups.append(state.setup_s)
+    state = _setup_serve(spec, seed, recorder, workdir)
     engine = state.engine
     graph = state.graph
     shards = [s for rs in engine.pool.replica_sets for s in rs.replicas]
@@ -576,13 +600,21 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) 
     # ---- timed phase ---------------------------------------------------
     rss_before = _rss_mb()
     rates = {False: [], True: []}  # traced? -> ops per second of each chunk
+    timed = [0, 0.0]  # untraced ops, seconds
     elapsed = 0.0
     chunk_index = 0
     batch_base = 0
     while elapsed < seconds or chunk_index < (2 if trace else 1):
         ops = state.ops.take(size["chunk"])
         if not ops:
-            break
+            if not spec.passes:
+                break
+            for shard in shards:
+                if shard.lca.oracle_cache is not None:
+                    shard.lca.oracle_cache.clear()
+            state.ops.next_pass()
+            continue
+        _pin(chunk_index // 2)
         workload = TraceWorkload(graph, edges=ops)
         traced = trace and chunk_index % 2 == 1
         if traced:
@@ -601,6 +633,9 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) 
         rates[traced].append(len(ops) / took)
         ids = _batch_ids(ops, size["batch"], batch_base)
         log.add(engine.records, ids, timed_latency=not traced)
+        if not traced:
+            timed[0] += len(ops)
+            timed[1] += took
         batch_base = ids[-1] if ids else batch_base + 1
         if replay:
             ops_log.extend(ops)
@@ -608,6 +643,7 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) 
         outcome.attempted += len(ops)
         chunk_index += 1
         del workload, report, ops
+    _pin(-1)
     rss_after = _rss_mb()
     peak_rss = _peak_rss_mb()
     outcome.notes["timed_s"] = elapsed
@@ -662,8 +698,8 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) 
                 f"only {tail_batches} batch stamps beyond read_p99_ms "
                 f"(need {MIN_TAIL_BATCHES}); the p99 is not supported"
             )
-        m["setup_s"] = statistics.median(setups)
-        m["ops_per_s"] = statistics.median(rates[False])
+        m["setup_s"] = import_s + state.setup_s
+        m["ops_per_s"] = timed[0] / timed[1]
         m["read_p50_ms"] = nearest_rank_percentile(ordered, 50.0) * 1e3
         m["read_p99_ms"] = p99 * 1e3
         m["peak_rss_mb"] = peak_rss
@@ -671,7 +707,7 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir) 
         m["probes_max"] = log.probe_max
         m["kept_frac"] = log.kept / log.reads
         m["ok_frac"] = (outcome.attempted - outcome.failed) / outcome.attempted
-        outcome.notes["setup_s_reps"] = setups
+        outcome.notes["import_s"] = import_s
         outcome.notes["chunk_rates"] = [round(r, 1) for r in rates[False]]
     outcome.kernel = lca0.kernel_name
     outcome.recorder = recorder
@@ -752,21 +788,19 @@ def _build_constructions(constructions, recorder) -> tuple:
     return built, clock() - started
 
 
-def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir) -> Outcome:
+def run_materialize(
+    size: dict, seed: int, seconds: float, trace: bool, workdir, import_s: float
+) -> Outcome:
     outcome = Outcome()
     recorder = SpanRecorder() if trace else None
     constructions = _constructions(size)
-    setups = []
-    for rep in range(1 if trace else SETUP_REPS):
-        built = None
-        gc.collect()
-        built, took = _build_constructions(constructions, recorder)
-        setups.append(took)
+    built, setup_s = _build_constructions(constructions, recorder)
     gc.collect()
 
     # ---- timed phase: whole rounds, so the construction mix is fixed ----
     rss_before = _rss_mb()
     rates = {False: [], True: []}  # traced? -> edges decided per second of each round
+    timed = [0, 0.0]  # untraced edges decided, seconds
     profiler = ProbeProfiler()
     spannerk_traced_edges = 0
     results = {}
@@ -780,9 +814,10 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
     timed_edges = timed_graph.edge_list()
     timed_cold = constructions[timed_position][2](timed_graph)
     timed_reads = []
-    latencies = []
+    latencies = array("d")
     while elapsed < seconds or round_index < (2 if trace else 1):
         traced = trace and round_index % 2 == 1
+        _pin(round_index // 2)
         round_edges = 0
         round_s = 0.0
         for position, (name, graph, lca) in enumerate(built):
@@ -811,6 +846,9 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
             results[name] = (result, lca)
         elapsed += round_s
         rates[traced].append(round_edges / round_s)
+        if not traced:
+            timed[0] += round_edges
+            timed[1] += round_s
         round_index += 1
         for _ in range(size["latency_reads"]):
             u, v = timed_edges[rng.randrange(len(timed_edges))]
@@ -818,6 +856,7 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
             answer = timed_cold.query_with_stats(u, v)
             latencies.append(clock() - started)
             timed_reads.append((u, v, answer.in_spanner, answer.probe_total))
+    _pin(-1)
     rss_after = _rss_mb()
     peak_rss = _peak_rss_mb()
 
@@ -870,8 +909,8 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
         m.update(dict.fromkeys(SERVE_ONLY, 0))
     else:
         ordered = sorted(latencies)
-        m["setup_s"] = statistics.median(setups)
-        m["ops_per_s"] = statistics.median(rates[False])
+        m["setup_s"] = import_s + setup_s
+        m["ops_per_s"] = timed[0] / timed[1]
         m["read_p50_ms"] = nearest_rank_percentile(ordered, 50.0) * 1e3
         m["read_p99_ms"] = nearest_rank_percentile(ordered, 99.0) * 1e3
         m["peak_rss_mb"] = peak_rss
@@ -881,7 +920,7 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
         kept = sum(result.num_edges for result, _ in results.values())
         m["kept_frac"] = kept / len(totals)
         m["ok_frac"] = (outcome.attempted - outcome.failed) / outcome.attempted
-        outcome.notes["setup_s_reps"] = setups
+        outcome.notes["import_s"] = import_s
         outcome.notes["latency_samples"] = len(ordered)
         outcome.notes["round_rates"] = [round(r, 1) for r in rates[False]]
     outcome.kernel = results["spanner3"][1].kernel_name
@@ -889,14 +928,21 @@ def run_materialize(size: dict, seed: int, seconds: float, trace: bool, workdir)
     return outcome
 
 
-def run(name: str, seed: int, seconds: float, trace: bool, workdir, size_profile="full") -> Outcome:
-    """Run one workload in this process and return its outcome."""
+def run(
+    name: str, seed: int, seconds: float, trace: bool, workdir, size_profile="full",
+    import_s: float = 0.0,
+) -> Outcome:
+    """Run one workload in this process and return its outcome.
+
+    ``import_s`` is the time the process took to import the program; it is
+    part of ``setup_s``.
+    """
     size = SIZES[size_profile][name]
     if name == "materialize":
-        return run_materialize(size, seed, seconds, trace, workdir)
+        return run_materialize(size, seed, seconds, trace, workdir, import_s)
     spec = {
         "serve-dense": _dense_spec,
         "serve-churn": _churn_spec,
         "serve-scale": _scale_spec,
     }[name](size)
-    return run_serve(spec, seed, seconds, trace, workdir)
+    return run_serve(spec, seed, seconds, trace, workdir, import_s)
