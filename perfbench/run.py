@@ -14,6 +14,9 @@ Chrome trace under ``.perfbench/``.  The exit code is 1 when an answer check
 fails and 2 when the program cannot be imported.
 
 ``--all`` runs every workload in its own fresh process and prints one table.
+An untraced run times two more cold set-ups of its workload, each in a
+fresh ``--setup-only`` process, and reports the median of the three as
+``setup_s``.
 """
 
 from __future__ import annotations
@@ -89,15 +92,23 @@ def result_line(outcome, spec: dict, trace: bool) -> dict:
 
 
 def run_one(args) -> int:
+    sys.path.insert(0, str(ROOT))
+    from perfbench.speed import SetupSpeed
+
+    setup_speed = SetupSpeed()
     _import_program()
     from perfbench import workloads
 
-    import_s = time.perf_counter() - STARTED
+    import_s = time.perf_counter() - STARTED - setup_speed.spent
     OUT_DIR.mkdir(exist_ok=True)
+    if args.setup_only:
+        setup_s = workloads.cold_setup_s(args.workload, args.seed, OUT_DIR, args.size, import_s)
+        print(json.dumps({"raw_setup_s": setup_s, "setup_s": setup_speed.scaled(setup_s)}))
+        return 0
     spec = load_spec()
     outcome = workloads.run(
         args.workload, args.seed, args.seconds, bool(args.trace), OUT_DIR, args.size,
-        import_s,
+        import_s, setup_speed,
     )
     line = result_line(outcome, spec, bool(args.trace))
     host = fingerprint(outcome.kernel)
@@ -177,6 +188,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="tiny sizes are for the self-tests")
+    parser.add_argument("--setup-only", action="store_true",
+                        help="only time one cold set-up and print it (used by untraced runs)")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")

@@ -21,7 +21,7 @@ UNIT = re.compile(r"[A-Za-z0-9_/%.-]{1,16}")
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench import checks, run, steady, workloads  # noqa: E402
+from perfbench import checks, run, speed, steady, workloads  # noqa: E402
 from repro import graphs  # noqa: E402
 from repro.core.lca import BatchQueryResult  # noqa: E402
 from repro.core.registry import create  # noqa: E402
@@ -82,6 +82,10 @@ def test_every_workload_runs_at_tiny_size(workload, trace):
     if not trace:
         assert all(v["value"] > 0 for v in result["metrics"].values())
         assert result["metrics"]["ok_frac"]["value"] == 1.0
+        saved = json.loads((ROOT / ".perfbench" / f"{workload}-seed3-trace0.json").read_text())
+        setups = saved["notes"]["scaled_setup_s"]
+        assert len(setups) == workloads.SETUP_RUNS
+        assert sorted(setups)[len(setups) // 2] == result["metrics"]["setup_s"]["value"]
 
 
 def test_without_the_program_sources_the_command_fails_without_a_result(tmp_path):
@@ -215,3 +219,16 @@ def test_permuted_reads_give_every_orientation_once_per_pass():
             taken.extend(chunk)
         assert sorted(taken) == sorted(orientations)
         reads.next_pass()
+
+
+def test_timed_blocks_scale_by_the_calibrations_around_them(monkeypatch):
+    loops = iter([2e-3, 2e-3, 1e-3, 3e-3])
+    monkeypatch.setattr(speed, "loop_seconds", lambda runs=3: next(loops))
+    host = speed.HostSpeed()
+    host.begin()
+    assert host.scale() == pytest.approx(speed.NOMINAL_LOOP_S / 2e-3)
+    host.begin()
+    assert host.scale() == pytest.approx(speed.NOMINAL_LOOP_S / 2e-3)
+    assert host.median_loop_ms() == pytest.approx(2.0)
+    monkeypatch.setattr(speed, "loop_seconds", lambda runs=3: 4e-3 if runs == speed.SETUP_LOOPS else 0)
+    assert speed.SetupSpeed().scaled(8.0) == pytest.approx(8.0 * speed.NOMINAL_LOOP_S / 4e-3)

@@ -8,21 +8,25 @@ timed region, and handed to the program through ``TraceWorkload``; the
 graphs and LCA seeds are fixed instances (:data:`GRAPH_SEED`,
 :data:`LCA_SEED`).
 
-``setup_s`` is measured once per run, cold: the program import (timed by
-``run.py`` from the start of the process) plus the one set-up whose state
-the timed phase then uses, so one-time costs on first use show in it.  The
+``setup_s`` is the median of :data:`SETUP_RUNS` cold set-ups, each in a
+fresh process: the program import (timed by ``run.py`` from the start of
+the process) plus the set-up, so one-time costs on first use show in it.
+The first is the set-up whose state the timed phase then uses.  The
 timed phase runs the op stream in chunks (one ``ServiceEngine.run`` per
 chunk, or one materialization round) until ``seconds`` of chunk time have
 accumulated.
 
 ``ops_per_s`` is the work of all untraced chunks over their summed time,
-and the read latency percentiles pool all their reads.  The host's speed
-swings by up to half for seconds at a time with the same program work,
-and each CPU swings on its own.  So consecutive pairs of chunks take turns
-on the CPUs the process may use (:func:`_pin`), and the sums average over
-all of them; a sum moves in proportion to the share of the run spent in a
-slow spell, where a median or other quantile of the chunk rates would jump
-from one speed to the other once that share crosses it.
+and the read latency percentiles pool all their reads.  Every timed
+block (each chunk, each construction's materialization, each block of cold
+reads) is scaled to the nominal host speed of :mod:`perfbench.speed`,
+measured by a calibration loop right before and after it, because the
+host's speed drifts by up to half over tens of seconds with the same
+program work.  Each set-up is scaled by longer calibrations right before the program
+import and right after the set-up (:class:`perfbench.speed.SetupSpeed`).
+The raw times are printed as notes.  Consecutive pairs of chunks take turns
+on the CPUs the process may use (:func:`_pin`), so the sums cover all of
+them.
 
 In a traced run every second chunk is traced, so traced and untraced
 chunks see the same cache warmth and their throughput ratio is the
@@ -33,10 +37,13 @@ chunks.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import random
 import resource
 import statistics
+import subprocess
+import sys
 import time
 from array import array
 from bisect import bisect_right
@@ -60,6 +67,7 @@ from repro.spannerk import KSquaredParams, KSquaredSpannerLCA
 
 from . import checks
 from .spans import SpanRecorder
+from .speed import HostSpeed, SetupSpeed
 
 clock = time.perf_counter
 
@@ -77,6 +85,11 @@ LCA_SEED = 7
 #: Fewest batch stamps that must lie beyond ``read_p99_ms`` in a full-size run.
 MIN_TAIL_BATCHES = 10
 
+#: Cold set-ups per untraced run; ``setup_s`` is their median.  The first is
+#: the run's own; the others run one after another in fresh processes once
+#: the run's timed phase and checks are over and its state is freed.
+SETUP_RUNS = 3
+
 #: Workload sizes.  "full" is what the benchmark measures; "tiny" is for
 #: the self-tests and finishes in about a second per workload.
 SIZES: Dict[str, Dict[str, dict]] = {
@@ -90,13 +103,13 @@ SIZES: Dict[str, Dict[str, dict]] = {
         "serve-churn": dict(n=400, p=0.15, shards=2, batch=1, warmup=100,
                             chunk=200, write_period=50),
         # read_p50/p99 time spannerk cold reads, latency_reads after each
-        # round.  About half the spanner3 and spanner5 cold reads end at a
+        # round (800: with 400, read_p99_ms spread 0.13 over five seeds).  About half the spanner3 and spanner5 cold reads end at a
         # 3-5 probe rule and the rest scan hundreds of probes, so their
         # medians sit on a tenfold cliff; spannerk's spread smoothly.
         # spanner3's G(400, 0.25) has mean degree 100 > n^{3/4} = 89, so
         # most of its edges are super and the rest high.
         "materialize": dict(s3_n=400, s3_p=0.25, s5_n=300, s5_p=0.05, sk_n=200,
-                            latency_reads=400, sample=300),
+                            latency_reads=800, sample=300),
         # The warm-up prefix holds about 160 hub-hub reads, so every shard
         # builds its scan tables (about 3 s) in set-up whatever the seed;
         # about 20 are not always enough.
@@ -195,6 +208,8 @@ class Outcome:
     kernel: str = ""
     #: The spans of a traced run (None untraced).
     recorder: Optional[SpanRecorder] = None
+    #: The run's own cold set-up: ``(raw, scaled)`` seconds.
+    setup: tuple = (0.0, 0.0)
 
 
 def _rss_mb() -> float:
@@ -524,7 +539,8 @@ class _ServeLog:
         self.stride = stride
         self.classify = classify
         self.table = table
-        self.latency = array("d")
+        self.latency = array("d")   # scaled to the nominal host speed
+        self.raw_latency = array("d")
         self.batch = array("q")
         self.reads = 0
         self.kept = 0
@@ -532,7 +548,7 @@ class _ServeLog:
         self.probe_max = 0
         self.sample: list = []   # every ``stride``-th read
 
-    def add(self, records, batch_ids, timed_latency: bool) -> None:
+    def add(self, records, batch_ids, timed_latency: bool, scale: float) -> None:
         classify = self.classify
         for record, batch in zip(records, batch_ids):
             probes = record.probe_total
@@ -547,7 +563,8 @@ class _ServeLog:
                 self.sample.append((record.u, record.v, record.in_spanner, probes))
             self.reads += 1
             if timed_latency:
-                self.latency.append(record.latency_s)
+                self.latency.append(record.latency_s * scale)
+                self.raw_latency.append(record.latency_s)
                 self.batch.append(batch)
 
 
@@ -571,12 +588,16 @@ class _TraceTotals:
 
 
 def run_serve(
-    spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir, import_s: float
+    spec: ServeSpec, seed: int, seconds: float, trace: bool, workdir, import_s: float,
+    setup_speed: SetupSpeed,
 ) -> Outcome:
     size = spec.size
     outcome = Outcome()
     recorder = SpanRecorder() if trace else None
     state = _setup_serve(spec, seed, recorder, workdir)
+    setup_s = import_s + state.setup_s
+    outcome.setup = (setup_s, setup_speed.scaled(setup_s))
+    speed = HostSpeed()
     engine = state.engine
     graph = state.graph
     shards = [s for rs in engine.pool.replica_sets for s in rs.replicas]
@@ -599,8 +620,8 @@ def run_serve(
 
     # ---- timed phase ---------------------------------------------------
     rss_before = _rss_mb()
-    rates = {False: [], True: []}  # traced? -> ops per second of each chunk
-    timed = [0, 0.0]  # untraced ops, seconds
+    rates = {False: [], True: []}  # traced? -> scaled ops per second of each chunk
+    timed = [0, 0.0, 0.0]  # untraced ops, scaled seconds, raw seconds
     elapsed = 0.0
     chunk_index = 0
     batch_base = 0
@@ -617,6 +638,7 @@ def run_serve(
         _pin(chunk_index // 2)
         workload = TraceWorkload(graph, edges=ops)
         traced = trace and chunk_index % 2 == 1
+        speed.begin()
         if traced:
             evicted_before = _evictions(shards)
             with recorder.wrapped(LAYER_TARGETS), recorder.span("service.run"):
@@ -629,13 +651,15 @@ def run_serve(
             started = clock()
             report = engine.run(workload, clock=clock)
             took = clock() - started
+        scale = speed.scale()
         elapsed += took
-        rates[traced].append(len(ops) / took)
+        rates[traced].append(len(ops) / (took * scale))
         ids = _batch_ids(ops, size["batch"], batch_base)
-        log.add(engine.records, ids, timed_latency=not traced)
+        log.add(engine.records, ids, timed_latency=not traced, scale=scale)
         if not traced:
             timed[0] += len(ops)
-            timed[1] += took
+            timed[1] += took * scale
+            timed[2] += took
         batch_base = ids[-1] if ids else batch_base + 1
         if replay:
             ops_log.extend(ops)
@@ -686,6 +710,7 @@ def run_serve(
         m["service.shed"] = totals.shed
         m.update(table.metrics("spanner3", lca0.params.expected_probe_bound()))
         m.update(dict.fromkeys(MATERIALIZE_ONLY, 0))
+        m["bench.calibration_ms"] = speed.median_loop_ms()
     else:
         ordered = sorted(log.latency)
         p99 = nearest_rank_percentile(ordered, 99.0)
@@ -698,7 +723,6 @@ def run_serve(
                 f"only {tail_batches} batch stamps beyond read_p99_ms "
                 f"(need {MIN_TAIL_BATCHES}); the p99 is not supported"
             )
-        m["setup_s"] = import_s + state.setup_s
         m["ops_per_s"] = timed[0] / timed[1]
         m["read_p50_ms"] = nearest_rank_percentile(ordered, 50.0) * 1e3
         m["read_p99_ms"] = p99 * 1e3
@@ -708,11 +732,23 @@ def run_serve(
         m["kept_frac"] = log.kept / log.reads
         m["ok_frac"] = (outcome.attempted - outcome.failed) / outcome.attempted
         outcome.notes["import_s"] = import_s
+        _speed_notes(outcome, speed, timed[0] / timed[2], sorted(log.raw_latency))
         outcome.notes["chunk_rates"] = [round(r, 1) for r in rates[False]]
     outcome.kernel = lca0.kernel_name
     outcome.recorder = recorder
     state.close()
     return outcome
+
+
+def _speed_notes(outcome: Outcome, speed: HostSpeed, ops_per_s, raw_latency) -> None:
+    """The unscaled timed-phase figures and the calibration loop, as run notes."""
+    outcome.notes["calibration_loop_ms_median"] = speed.median_loop_ms()
+    outcome.notes["calibration_loop_ms_range"] = [
+        round(min(speed.loops) * 1e3, 4), round(max(speed.loops) * 1e3, 4)
+    ]
+    outcome.notes["raw_ops_per_s"] = ops_per_s
+    outcome.notes["raw_read_p50_ms"] = nearest_rank_percentile(raw_latency, 50.0) * 1e3
+    outcome.notes["raw_read_p99_ms"] = nearest_rank_percentile(raw_latency, 99.0) * 1e3
 
 
 def _overhead(rates) -> float:
@@ -789,18 +825,22 @@ def _build_constructions(constructions, recorder) -> tuple:
 
 
 def run_materialize(
-    size: dict, seed: int, seconds: float, trace: bool, workdir, import_s: float
+    size: dict, seed: int, seconds: float, trace: bool, workdir, import_s: float,
+    setup_speed: SetupSpeed,
 ) -> Outcome:
     outcome = Outcome()
     recorder = SpanRecorder() if trace else None
     constructions = _constructions(size)
     built, setup_s = _build_constructions(constructions, recorder)
+    setup_s += import_s
+    outcome.setup = (setup_s, setup_speed.scaled(setup_s))
+    speed = HostSpeed()
     gc.collect()
 
     # ---- timed phase: whole rounds, so the construction mix is fixed ----
     rss_before = _rss_mb()
-    rates = {False: [], True: []}  # traced? -> edges decided per second of each round
-    timed = [0, 0.0]  # untraced edges decided, seconds
+    rates = {False: [], True: []}  # traced? -> scaled edges decided per second of each round
+    timed = [0, 0.0, 0.0]  # untraced edges decided, scaled seconds, raw seconds
     profiler = ProbeProfiler()
     spannerk_traced_edges = 0
     results = {}
@@ -814,17 +854,20 @@ def run_materialize(
     timed_edges = timed_graph.edge_list()
     timed_cold = constructions[timed_position][2](timed_graph)
     timed_reads = []
-    latencies = array("d")
+    latencies = array("d")   # scaled to the nominal host speed
+    raw_latencies = array("d")
     while elapsed < seconds or round_index < (2 if trace else 1):
         traced = trace and round_index % 2 == 1
         _pin(round_index // 2)
         round_edges = 0
-        round_s = 0.0
+        round_s = 0.0   # scaled
+        round_raw_s = 0.0
         for position, (name, graph, lca) in enumerate(built):
             if round_index > 0:
                 lca = constructions[position][2](graph)
             if traced and name == "spannerk":
                 lca.attach_profiler(profiler)
+            speed.begin()
             started = clock()
             if traced:
                 with recorder.wrapped(LAYER_TARGETS), recorder.span(
@@ -834,9 +877,11 @@ def run_materialize(
             else:
                 result = lca.materialize(mode="batched")
             took = clock() - started
+            scale = speed.scale()
             decided = result.probe_stats.queries
             round_edges += decided
-            round_s += took
+            round_s += took * scale
+            round_raw_s += took
             outcome.attempted += decided
             if traced and name == "spannerk":
                 spannerk_traced_edges += decided
@@ -844,18 +889,24 @@ def run_materialize(
             if previous is not None and previous[0].edges != result.edges:
                 outcome.problems.append(f"{name}: round {round_index} decided a different H")
             results[name] = (result, lca)
-        elapsed += round_s
+        elapsed += round_raw_s
         rates[traced].append(round_edges / round_s)
         if not traced:
             timed[0] += round_edges
             timed[1] += round_s
+            timed[2] += round_raw_s
         round_index += 1
+        block = array("d")
+        speed.begin()
         for _ in range(size["latency_reads"]):
             u, v = timed_edges[rng.randrange(len(timed_edges))]
             started = clock()
             answer = timed_cold.query_with_stats(u, v)
-            latencies.append(clock() - started)
+            block.append(clock() - started)
             timed_reads.append((u, v, answer.in_spanner, answer.probe_total))
+        scale = speed.scale()
+        raw_latencies.extend(block)
+        latencies.extend(read_s * scale for read_s in block)
     _pin(-1)
     rss_after = _rss_mb()
     peak_rss = _peak_rss_mb()
@@ -907,9 +958,9 @@ def run_materialize(
             )
         m["core.rss_growth_mb"] = rss_after - rss_before
         m.update(dict.fromkeys(SERVE_ONLY, 0))
+        m["bench.calibration_ms"] = speed.median_loop_ms()
     else:
         ordered = sorted(latencies)
-        m["setup_s"] = import_s + setup_s
         m["ops_per_s"] = timed[0] / timed[1]
         m["read_p50_ms"] = nearest_rank_percentile(ordered, 50.0) * 1e3
         m["read_p99_ms"] = nearest_rank_percentile(ordered, 99.0) * 1e3
@@ -921,6 +972,7 @@ def run_materialize(
         m["kept_frac"] = kept / len(totals)
         m["ok_frac"] = (outcome.attempted - outcome.failed) / outcome.attempted
         outcome.notes["import_s"] = import_s
+        _speed_notes(outcome, speed, timed[0] / timed[2], sorted(raw_latencies))
         outcome.notes["latency_samples"] = len(ordered)
         outcome.notes["round_rates"] = [round(r, 1) for r in rates[False]]
     outcome.kernel = results["spanner3"][1].kernel_name
@@ -928,21 +980,60 @@ def run_materialize(
     return outcome
 
 
+_SERVE_SPECS = {
+    "serve-dense": _dense_spec,
+    "serve-churn": _churn_spec,
+    "serve-scale": _scale_spec,
+}
+
+
 def run(
-    name: str, seed: int, seconds: float, trace: bool, workdir, size_profile="full",
-    import_s: float = 0.0,
+    name: str, seed: int, seconds: float, trace: bool, workdir, size_profile: str,
+    import_s: float, setup_speed: SetupSpeed,
 ) -> Outcome:
     """Run one workload in this process and return its outcome.
 
     ``import_s`` is the time the process took to import the program; it is
-    part of ``setup_s``.
+    part of ``setup_s``.  ``setup_speed`` calibrated the host before the
+    import.  An untraced run ends with ``SETUP_RUNS - 1`` more cold set-ups
+    in fresh processes.
     """
     size = SIZES[size_profile][name]
     if name == "materialize":
-        return run_materialize(size, seed, seconds, trace, workdir, import_s)
-    spec = {
-        "serve-dense": _dense_spec,
-        "serve-churn": _churn_spec,
-        "serve-scale": _scale_spec,
-    }[name](size)
-    return run_serve(spec, seed, seconds, trace, workdir, import_s)
+        outcome = run_materialize(size, seed, seconds, trace, workdir, import_s, setup_speed)
+    else:
+        spec = _SERVE_SPECS[name](size)
+        outcome = run_serve(spec, seed, seconds, trace, workdir, import_s, setup_speed)
+    if not trace:
+        gc.collect()
+        setups = [outcome.setup] + [
+            _setup_in_new_process(name, seed, size_profile) for _ in range(SETUP_RUNS - 1)
+        ]
+        outcome.notes["raw_setup_s"] = [raw for raw, _ in setups]
+        outcome.notes["scaled_setup_s"] = [scaled for _, scaled in setups]
+        outcome.metrics["setup_s"] = statistics.median(outcome.notes["scaled_setup_s"])
+    return outcome
+
+
+def cold_setup_s(name: str, seed: int, workdir, size_profile: str, import_s: float) -> float:
+    """Unscaled seconds of one set-up in this fresh process, program import included."""
+    size = SIZES[size_profile][name]
+    if name == "materialize":
+        return import_s + _build_constructions(_constructions(size), None)[1]
+    state = _setup_serve(_SERVE_SPECS[name](size), seed, None, workdir)
+    state.close()
+    return import_s + state.setup_s
+
+
+def _setup_in_new_process(name: str, seed: int, size_profile: str) -> tuple:
+    """``(raw, scaled)`` seconds of one cold set-up in a fresh process."""
+    command = [
+        sys.executable, str(Path(__file__).with_name("run.py")), "--setup-only",
+        "--workload", name, "--seed", str(seed), "--size", size_profile,
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"set-up process exited {done.returncode}: {done.stderr[-2000:]}")
+    timed = json.loads(lines[-1])
+    return timed["raw_setup_s"], timed["setup_s"]
