@@ -70,15 +70,17 @@ from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 from ..graphs.graph import Graph, Vertex
 
 #: Empty dependency set shared by graph-independent memo entries.
-_NO_TOUCHES: frozenset = frozenset()
+_NO_TOUCHES: tuple = ()
 
 
 class MemoEntry:
     """One memoized value plus its epoch-invalidation metadata.
 
-    ``touched`` is the set of vertices whose neighbor rows (or degrees, or
-    adjacency rows) the computation read; ``epoch`` is the graph's global
-    mutation epoch when the value was stored.  The entry is *fresh* while no
+    ``touched`` holds the vertices whose neighbor rows (or degrees, or
+    adjacency rows) the computation read, as a sorted tuple (a memo holds
+    one per entry, and a tuple takes about a quarter of a frozenset's
+    memory); ``epoch`` is the graph's global mutation epoch when the value
+    was stored.  The entry is *fresh* while no
     touched vertex has mutated since — computations are deterministic, so
     re-running one whose reads are all unchanged would retrace the same
     reads and produce the same value (and the same cold probe schedule).
@@ -88,7 +90,7 @@ class MemoEntry:
 
     __slots__ = ("value", "epoch", "touched")
 
-    def __init__(self, value, epoch: int = 0, touched: frozenset = _NO_TOUCHES) -> None:
+    def __init__(self, value, epoch: int = 0, touched: tuple = _NO_TOUCHES) -> None:
         self.value = value
         self.epoch = epoch
         self.touched = touched
@@ -303,11 +305,11 @@ class OracleCache:
         touched = entry.touched
         if touched:
             if current - stored <= len(touched):
-                # Few mutations since: scan the mutation-log suffix against
-                # the dependency set (O(1) membership per mutation).
-                for (u, v) in graph.mutations_since(stored):
-                    if u in touched or v in touched:
-                        return False
+                # Few mutations since: test the dependencies against the
+                # endpoints of the mutation-log suffix.
+                ends = {x for pair in graph.mutations_since(stored) for x in pair}
+                if not ends.isdisjoint(touched):
+                    return False
             else:
                 # Many mutations since: per-vertex epoch comparison is the
                 # cheaper direction.
@@ -353,7 +355,7 @@ class OracleCache:
         self, namespace: Hashable, key: Hashable, value, touched: Set[Vertex]
     ) -> MemoEntry:
         """Store a value computed under a :meth:`track` frame."""
-        touched = frozenset(touched) if touched else _NO_TOUCHES
+        touched = tuple(sorted(touched)) if touched else _NO_TOUCHES
         entry = MemoEntry(value, self.graph.epoch, touched)
         self.memo(namespace)[key] = entry
         if self._trackers and touched:

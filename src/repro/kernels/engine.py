@@ -8,7 +8,9 @@ graph epoch, the vectorized path answers with the exact scalar probe
 schedule; otherwise the scalar loop runs unchanged.  The engine holds one
 epoch-stamped :class:`~repro.kernels.view.CSRView` slot plus scan-table
 caches keyed by center system, so repeated queries against an unchanged
-graph reuse every precomputed table.
+graph reuse every precomputed table.  When the graph's epoch moves, the new
+view and tables are derived from the previous epoch's copies, recomputing
+only the rows the writes since then can have changed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class NumpyKernel:
         epoch = graph.epoch
         if slot is not None and slot[0] is graph and slot[1] == epoch:
             return slot[2]
-        built = build_view(self.np, graph)
+        built = build_view(self.np, graph, None if slot is None else slot[2])
         self._view_slot = (graph, epoch, built)
         return built
 
@@ -57,21 +59,34 @@ class NumpyKernel:
         """Election bitmap + prefix-center rows for ``system`` over ``view``."""
         key = id(system)
         entry = self._prefix_tables.get(key)
-        if entry is not None and entry[0] is system and entry[1] is view:
-            return entry[2]
-        tables = _spanner3.build_prefix_tables(self.np, view, system)
+        base = None
+        if entry is not None and entry[0] is system:
+            if entry[1] is view:
+                return entry[2]
+            base = entry[1:]
+        tables = _spanner3.build_prefix_tables(self.np, view, system, base)
         self._prefix_tables[key] = (system, view, tables)
         return tables
 
     def scan_tables(self, view, system, block: Optional[int]) -> "_spanner3.ScanTables":
-        """Closed-form scan outcomes for ``system`` (per block variant)."""
+        """Closed-form scan outcomes for ``system`` (per block variant).
+
+        After a write, only the rows :func:`~repro.kernels.spanner3.dirty_scan_rows`
+        names are rebuilt; the rest are copied from the previous tables.
+        """
         key = (id(system), block)
         entry = self._scan_tables.get(key)
-        if entry is not None and entry[0] is system and entry[1] is view:
-            return entry[2]
+        base = None
+        if entry is not None and entry[0] is system:
+            if entry[1] is view:
+                return entry[3]
+            base = entry[1:]
         prefix = self.prefix_tables(view, system)
-        tables = _spanner3.build_scan_tables(self.np, view, prefix, block)
-        self._scan_tables[key] = (system, view, tables)
+        np = self.np
+        rows = _spanner3.dirty_scan_rows(np, view, prefix, base)
+        fresh = _spanner3.build_scan_tables(np, view, prefix, block, rows)
+        tables = _spanner3.splice_scan_tables(np, view, rows, fresh, base)
+        self._scan_tables[key] = (system, view, prefix, tables)
         return tables
 
     def scan_profile(self, oracle, system, w, x, index, block):

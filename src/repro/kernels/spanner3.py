@@ -17,11 +17,23 @@ H_super) with ``s ∈ S(row_w[j])``.  The scalar loop stops at
 ``E = max(fc) + 1``; it performs ``E - start`` row steps and
 ``Σ_s (min(fc+1, E) - start)`` adjacency probes, and keeps the edge iff some
 element stayed uncovered (or the window was empty with S(x) nonempty).
+
+After a write the tables are patched, not rebuilt.  Row w's scan entries
+depend only on row w and on S(x) for each x in it; S(x) depends only on x's
+first ``prefix`` entries and the pure center election.  So with M the rows
+the mutation log names since the previous tables, the prefix rows of M are
+recomputed, and the scan rows recomputed are M plus every neighbor of an
+x ∈ M whose S(x) changed (:func:`dirty_scan_rows`); every other row is
+copied.  Group keys start with the source row, so restricting
+:func:`build_scan_tables` to whole rows gives the full build's values.  The
+first build is the case where every row is dirty.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+from .view import moved_rows, row_entries, splice_rows
 
 
 class PrefixTables:
@@ -46,37 +58,87 @@ class ScanTables:
         self.adj = adj
 
 
-def build_prefix_tables(np, view, system) -> PrefixTables:
-    """Evaluate the (pure, probe-free) center election over a whole view."""
-    elected = np.fromiter(
-        (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
-        dtype=bool,
-        count=view.n,
-    )
-    prefix = system.prefix
-    if view.nnz:
-        mask = (view.entry_j < prefix) & elected[view.nbr_pos]
-        sel = np.flatnonzero(mask)
-        pc_val = view.nbr_pos[sel]
-        counts = np.bincount(view.entry_src[sel], minlength=view.n)
+def build_prefix_tables(np, view, system, base=None) -> PrefixTables:
+    """Evaluate the (pure, probe-free) center election over a whole view.
+
+    ``base`` is ``(old_view, old_tables)`` for the same system; when
+    ``old_view`` is an earlier view of the same graph, the election carries
+    over and only the prefix rows of moved rows are recomputed.
+    """
+    rows = None if base is None else moved_rows(np, base[0], view.graph, view.epoch)
+    if rows is None:
+        elected = np.fromiter(
+            (bool(system.sampler.is_center(vertex)) for vertex in view.ids.tolist()),
+            dtype=bool,
+            count=view.n,
+        )
     else:
-        pc_val = np.zeros(0, dtype=np.int64)
-        counts = np.zeros(view.n, dtype=np.int64)
+        elected = base[1].elected
+    sel = row_entries(np, view.indptr, rows)
+    nbr = view.nbr_pos[sel]
+    mask = (view.entry_j[sel] < system.prefix) & elected[nbr]
+    fresh = nbr[mask]
+    counts = np.bincount(view.entry_src[sel][mask], minlength=view.n)
     pc_indptr = np.zeros(view.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=pc_indptr[1:])
+    if rows is None:
+        np.cumsum(counts, out=pc_indptr[1:])
+        return PrefixTables(elected, pc_indptr, fresh)
+    old = base[1]
+    carried = old.pc_indptr[1:] - old.pc_indptr[:-1]
+    carried[rows] = counts[rows]
+    np.cumsum(carried, out=pc_indptr[1:])
+    pc_val = splice_rows(np, rows, fresh, pc_indptr, old.pc_val, old.pc_indptr)
     return PrefixTables(elected, pc_indptr, pc_val)
 
 
-def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> ScanTables:
-    """Materialize kept/steps/adjacency for every entry's scan at once."""
-    nnz = view.nnz
+def dirty_scan_rows(np, view, prefix: PrefixTables, base):
+    """Rows whose scan entries may differ from ``base``'s (``None``: every row).
+
+    ``base`` is ``(old_view, old_prefix, old_scan)`` or ``None``.  The dirty
+    rows are the moved rows M plus every neighbor of an x ∈ M whose
+    prefix-center set S(x) changed; rows that lost x are in M already.
+    """
+    if base is None:
+        return None
+    old_view, old_prefix, _ = base
+    moved = moved_rows(np, old_view, view.graph, view.epoch)
+    if moved is None:
+        return None
+    old_ptr, new_ptr = old_prefix.pc_indptr, prefix.pc_indptr
+    changed = [
+        x
+        for x in moved.tolist()
+        if not np.array_equal(
+            old_prefix.pc_val[old_ptr[x] : old_ptr[x + 1]],
+            prefix.pc_val[new_ptr[x] : new_ptr[x + 1]],
+        )
+    ]
+    if not changed:
+        return moved
+    sel = row_entries(np, view.indptr, np.array(changed, dtype=np.int64))
+    return np.union1d(moved, view.nbr_pos[sel])
+
+
+def build_scan_tables(
+    np, view, tables: PrefixTables, block: Optional[int], rows=None
+) -> ScanTables:
+    """Materialize kept/steps/adjacency for the entries of ``rows`` at once.
+
+    ``rows`` are sorted row positions (``None``: every row); the tables hold
+    their entries row after row, exactly as the whole-view tables would.
+    """
+    sel = row_entries(np, view.indptr, rows)
+    entry_nbr = view.nbr_pos[sel]
+    entry_src = view.entry_src[sel]
+    entry_j = view.entry_j[sel]
+    nnz = len(entry_nbr)
     kept = np.zeros(nnz, dtype=bool)
     steps = np.zeros(nnz, dtype=np.int64)
     adj = np.zeros(nnz, dtype=np.int64)
     if not nnz:
         return ScanTables(kept, steps, adj)
     # One "element" per (entry e, center s ∈ S(x_e)) pair, laid out entry-major.
-    sizes = tables.pc_indptr[view.nbr_pos + 1] - tables.pc_indptr[view.nbr_pos]
+    sizes = tables.pc_indptr[entry_nbr + 1] - tables.pc_indptr[entry_nbr]
     offsets = np.zeros(nnz + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
@@ -84,9 +146,9 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
         return ScanTables(kept, steps, adj)
     eid = np.repeat(np.arange(nnz, dtype=np.int64), sizes)
     inner = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
-    cpos = tables.pc_val[tables.pc_indptr[view.nbr_pos[eid]] + inner]
-    src = view.entry_src[eid]
-    j_el = view.entry_j[eid]
+    cpos = tables.pc_val[tables.pc_indptr[entry_nbr[eid]] + inner]
+    src = entry_src[eid]
+    j_el = entry_j[eid]
     # Group elements sharing (src, [block,] s): the group's minimum j is the
     # first cover.  lexsort is stable, elements were built in entry (hence j)
     # order, so the head of each group carries the minimum j.
@@ -120,7 +182,7 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
     uncovered = fc == j_el
     any_unc = np.logical_or.reduceat(uncovered, off_ne)
     max_fc = np.maximum.reduceat(fc, off_ne)
-    scan_end_ne = np.where(any_unc, view.entry_j[nonempty], max_fc + 1)
+    scan_end_ne = np.where(any_unc, entry_j[nonempty], max_fc + 1)
     scan_end = np.zeros(nnz, dtype=np.int64)
     scan_end[nonempty] = scan_end_ne
     contrib = np.minimum(fc + 1, scan_end[eid]) - start_el
@@ -128,11 +190,25 @@ def build_scan_tables(np, view, tables: PrefixTables, block: Optional[int]) -> S
     start_ne = (
         np.zeros(len(off_ne), dtype=np.int64)
         if block is None
-        else (view.entry_j[nonempty] // block) * block
+        else (entry_j[nonempty] // block) * block
     )
     steps[nonempty] = scan_end_ne - start_ne
     kept[nonempty] = any_unc
     return ScanTables(kept, steps, adj)
+
+
+def splice_scan_tables(np, view, rows, fresh: ScanTables, base) -> ScanTables:
+    """Whole-view tables: ``fresh`` for ``rows``, ``base``'s copies elsewhere."""
+    if rows is None:
+        return fresh
+    old_view, _, old = base
+    return ScanTables(
+        *(
+            splice_rows(np, rows, getattr(fresh, name), view.indptr,
+                        getattr(old, name), old_view.indptr)
+            for name in ScanTables.__slots__
+        )
+    )
 
 
 def scan_profile(kernel, oracle, system, w, x, index, block):

@@ -4,7 +4,13 @@ A :class:`CSRView` freezes one mutation epoch of a graph into flat int64
 arrays — exactly the CSR layout, plus the derived per-entry tables the
 kernels index into (entry source, in-row offset, reverse-entry permutation).
 Views are read-only copies: mutating the graph never corrupts a view, and
-the epoch stamp lets the kernel engine drop a stale view on the next call.
+the epoch stamp lets the kernel engine replace a stale view on the next call.
+
+A later epoch's view is derived from an earlier one: mutations never add
+vertices, so positions carry over, and only the rows named in the graph's
+mutation log since the earlier epoch are read again (:func:`moved_rows`,
+:func:`splice_rows`).  The kernel tables built over a view are patched the
+same way (see :mod:`repro.kernels.spanner3`).
 
 Building a view performs **zero probes**: it reads the adjacency structure
 directly, the same way :meth:`repro.graphs.graph.Graph.edges` does.  All
@@ -26,10 +32,13 @@ class CSRView:
     directed arc), ``entry_src[e]`` is the source position, ``entry_j[e]``
     the offset of ``e`` inside its row, ``nbr_id``/``nbr_pos`` the target.
     ``rev_entry`` (lazy) maps each entry to its reverse arc's entry index.
+    ``graph``/``epoch`` name the graph and mutation epoch the view images.
     """
 
     __slots__ = (
         "np",
+        "graph",
+        "epoch",
         "n",
         "nnz",
         "ids",
@@ -45,9 +54,11 @@ class CSRView:
         "_adj_keys",
     )
 
-    def __init__(self, np_module, ids, pos, deg, indptr, nbr_id, nbr_pos,
+    def __init__(self, np_module, graph, ids, pos, deg, indptr, nbr_id, nbr_pos,
                  entry_src, entry_j):
         self.np = np_module
+        self.graph = graph
+        self.epoch = graph.epoch
         self.n = len(ids)
         self.nnz = len(nbr_id)
         self.ids = ids
@@ -112,22 +123,85 @@ class CSRView:
         return self._rev_pos
 
 
-def build_view(np_module, graph) -> Optional[CSRView]:
-    """Build a :class:`CSRView` of ``graph`` at its current epoch.
+def moved_rows(np_module, base: Optional[CSRView], graph, epoch: int):
+    """Sorted positions of the rows mutations changed from ``base`` to ``epoch``.
 
-    Compacted CSR graphs (including shared-memory exports) are converted
-    array-at-once from their flat buffers; every other backend (dict
-    adjacency, CSR with pending delta overlays) goes through the generic
-    ``vertices()``/``neighbors()`` walk.  Returns ``None`` when vertex ids
-    do not fit int64 — callers then fall back to the scalar path.
+    ``None`` when ``base`` is not an earlier view of ``graph`` — then no row
+    can be carried over.  Each logged mutation changed exactly the rows of
+    its two endpoints.
     """
     np = np_module
-    ids_list = list(graph.vertices())
-    n = len(ids_list)
+    if base is None or base.graph is not graph:
+        return None
+    log = graph.mutations_since(base.epoch)[: epoch - base.epoch]
+    pos = base.pos
+    return np.unique(np.array([pos[x] for pair in log for x in pair], dtype=np.int64))
+
+
+def row_entries(np_module, indptr, rows):
+    """Entry indexes of ``rows`` (sorted positions), row after row.
+
+    ``rows=None`` stands for every row and gives ``slice(None)``, so indexing
+    with the result never copies a whole-view array.
+    """
+    np = np_module
+    if rows is None:
+        return slice(None)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        int(ends[-1]) if len(ends) else 0, dtype=np.int64
+    )
+
+
+def splice_rows(np_module, rows, fresh, indptr, base_vals, base_indptr):
+    """A row-major array laid out by ``indptr`` from fresh and carried rows.
+
+    ``rows`` (sorted positions) take their values from ``fresh``, which holds
+    them row after row; every other row is copied from the same row of
+    ``base_vals`` (laid out by ``base_indptr``).  Rows between two fresh ones
+    are contiguous in both layouts, so the copy is one slice per run.
+    """
+    np = np_module
+    pieces = []
+    done = at = 0
+    for row in rows.tolist():
+        pieces.append(base_vals[base_indptr[done] : base_indptr[row]])
+        size = int(indptr[row + 1] - indptr[row])
+        pieces.append(fresh[at : at + size])
+        at += size
+        done = row + 1
+    pieces.append(base_vals[base_indptr[done] :])
+    return np.concatenate(pieces)
+
+
+def build_view(np_module, graph, base: Optional[CSRView] = None) -> Optional[CSRView]:
+    """Build a :class:`CSRView` of ``graph`` at its current epoch.
+
+    With ``base`` — an earlier view of the same graph — only the rows a
+    mutation touched since ``base.epoch`` are read from the graph; the rest
+    are copied from ``base``.  Otherwise every row is read: compacted CSR
+    graphs (including shared-memory exports) array-at-once from their flat
+    buffers, every other backend (dict adjacency, CSR with pending delta
+    overlays) through the generic ``neighbors()`` walk.  Returns ``None``
+    when vertex ids do not fit int64 — callers then fall back to the scalar
+    path.
+    """
+    np = np_module
+    rows = moved_rows(np, base, graph, graph.epoch)
     try:
-        ids = np.array(ids_list, dtype=np.int64)
+        if rows is None:
+            ids_list = list(graph.vertices())
+            ids = np.array(ids_list, dtype=np.int64)
+            pos = {vertex: index for index, vertex in enumerate(ids_list)}
+        else:
+            ids, pos = base.ids, base.pos
+            ids_list = ids[rows].tolist()
+        n = len(ids)
         flat = (
-            isinstance(graph, CSRGraph)
+            rows is None
+            and isinstance(graph, CSRGraph)
             and graph.delta_count == 0
             and not isinstance(graph._indices, list)
         )
@@ -138,31 +212,42 @@ def build_view(np_module, graph) -> Optional[CSRView]:
                 # safe because these graphs refuse mutation, so the view
                 # can never drift from the arrays it wraps.
                 indptr = np.frombuffer(graph._indptr, dtype=np.int64)
-                nbr_id = np.frombuffer(graph._indices, dtype=np.int64)
+                fresh_id = np.frombuffer(graph._indices, dtype=np.int64)
             else:
                 indptr = np.array(graph._indptr, dtype=np.int64)
-                nbr_id = np.array(graph._indices, dtype=np.int64)
+                fresh_id = np.array(graph._indices, dtype=np.int64)
+            deg = indptr[1:] - indptr[:-1]
         else:
-            rows = [graph.neighbors(v) for v in ids_list]
-            counts = np.array([len(row) for row in rows], dtype=np.int64)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            total = int(indptr[-1]) if n else 0
-            nbr_id = np.fromiter(
-                (w for row in rows for w in row), dtype=np.int64, count=total
+            read = [graph.neighbors(v) for v in ids_list]
+            counts = np.array([len(row) for row in read], dtype=np.int64)
+            fresh_id = np.fromiter(
+                (w for row in read for w in row), dtype=np.int64, count=int(counts.sum())
             )
+            if rows is None:
+                deg = counts
+            else:
+                deg = base.deg.copy()
+                deg[rows] = counts
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(deg, out=indptr[1:])
     except OverflowError:
         return None
-    pos = {vertex: index for index, vertex in enumerate(ids_list)}
-    deg = indptr[1:] - indptr[:-1]
     nnz = int(indptr[-1]) if n else 0
     if nnz:
         order = np.argsort(ids, kind="stable")
-        nbr_pos = order[np.searchsorted(ids[order], nbr_id)]
+        fresh_pos = order[np.searchsorted(ids[order], fresh_id)]
+        if rows is None:
+            nbr_id, nbr_pos = fresh_id, fresh_pos
+        else:
+            nbr_id = splice_rows(np, rows, fresh_id, indptr, base.nbr_id, base.indptr)
+            nbr_pos = splice_rows(np, rows, fresh_pos, indptr, base.nbr_pos, base.indptr)
         entry_src = np.repeat(np.arange(n, dtype=np.int64), deg)
         entry_j = np.arange(nnz, dtype=np.int64) - indptr[entry_src]
     else:
+        nbr_id = np.zeros(0, dtype=np.int64)
         nbr_pos = np.zeros(0, dtype=np.int64)
         entry_src = np.zeros(0, dtype=np.int64)
         entry_j = np.zeros(0, dtype=np.int64)
-    return CSRView(np, ids, pos, deg, indptr, nbr_id, nbr_pos, entry_src, entry_j)
+    return CSRView(
+        np, graph, ids, pos, deg, indptr, nbr_id, nbr_pos, entry_src, entry_j
+    )

@@ -48,15 +48,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ReproError
+from ..core.lca import QUERY_MODES
 from ..exec import EXECUTOR_BACKENDS, PINNED_BACKENDS
 from ..faults import FaultPlan
 from ..graphs.generators import GRAPH_FAMILIES, STREAM_FAMILIES
 from ..service.engine import DEGRADED_MODES
 from ..service.shards import ROUTING_POLICIES
 from ..service.workload import WORKLOAD_KINDS
-
-#: Query-engine modes accepted by ``[scenario.materialize] mode``.
-QUERY_MODES = ("cold", "cached", "batched")
 
 #: Graph storage backends accepted by ``[scenario.graph] backend``.
 GRAPH_BACKENDS = ("dict", "csr")

@@ -252,6 +252,103 @@ def test_service_engine_kernel_config_is_probe_invariant(force_kernel_paths):
     assert run("python") == run("numpy")
 
 
+def test_service_kernel_config_is_probe_invariant_under_churn(
+    force_kernel_paths, monkeypatch
+):
+    """Writes on both shards: each kernel sees its epoch jump several writes."""
+    from repro.kernels.engine import NumpyKernel
+    from repro.service import ServiceConfig, ServiceEngine, make_workload
+
+    last_epoch = {}
+    jumps = []
+    original_view = NumpyKernel.view
+
+    def view(kernel, graph):
+        jumps.append(graph.epoch - last_epoch.get(id(kernel), graph.epoch))
+        last_epoch[id(kernel)] = graph.epoch
+        return original_view(kernel, graph)
+
+    monkeypatch.setattr(NumpyKernel, "view", view)
+
+    def run(kernel):
+        graph = graphs.gnp_graph(60, 0.2, seed=9).to_backend("csr")
+        config = ServiceConfig(num_shards=2, batch_size=8, kernel=kernel)
+        workload = make_workload(
+            "churn", graph, num_requests=300, seed=4, write_ratio=0.25
+        )
+        report = ServiceEngine(graph, _spanner3, config).run(workload)
+        writes = [shard.mutations for shard in report.shard_reports]
+        return report.served, report.in_spanner, report.probe_stats.total, writes
+
+    scalar = run("python")
+    assert scalar == run("numpy")
+    assert all(writes > 0 for writes in scalar[3])
+    assert max(jumps) >= 2
+
+
+def test_patched_scan_tables_rebuild_only_dirty_rows(monkeypatch):
+    """Appends beyond both prefixes dirty two rows; an S(u) change adds N(u)."""
+    np = pytest.importorskip("numpy")
+    from repro.kernels import spanner3 as kernel_spanner3
+    from repro.kernels.engine import NumpyKernel
+
+    calls = []  # the ``rows`` handed to every build_scan_tables call
+    build = kernel_spanner3.build_scan_tables
+
+    def recording(np, view, tables, block, rows=None):
+        calls.append(None if rows is None else rows.tolist())
+        return build(np, view, tables, block, rows)
+
+    monkeypatch.setattr(kernel_spanner3, "build_scan_tables", recording)
+    graph = graphs.gnp_graph(70, 0.25, seed=11).to_backend("csr")
+    system = _spanner3(graph).components[2].centers
+    kernel = NumpyKernel(np)
+
+    def tables():
+        view = kernel.view(graph)
+        return view, kernel.prefix_tables(view, system), kernel.scan_tables(
+            view, system, None
+        )
+
+    view, prefix, _ = tables()
+    assert calls == [None]  # the first build: every row is dirty
+
+    # An append beyond both endpoints' prefixes leaves S(u) and S(v) alone.
+    u, v = next(
+        (a, b)
+        for a in graph.vertices()
+        for b in graph.vertices()
+        if a < b
+        and not graph.has_edge(a, b)
+        and min(graph.degree(a), graph.degree(b)) >= system.prefix
+    )
+    graph.add_edge(u, v)
+    view, prefix, _ = tables()
+    assert calls[-1] == sorted([view.pos[u], view.pos[v]])
+
+    # Removing an elected center from u's prefix changes S(u): every
+    # neighbor of u scans against S(u), so every one of their rows is dirty.
+    def center_set(tables, x):
+        return tables.pc_val[tables.pc_indptr[x] : tables.pc_indptr[x + 1]].tolist()
+
+    pu, pc = next(
+        (int(x), int(c))
+        for x in range(view.n)
+        for c in center_set(prefix, x)
+        if view.deg[x] > system.prefix
+    )
+    old_prefix = prefix
+    graph.remove_edge(int(view.ids[pu]), int(view.ids[pc]))
+    view, prefix, _ = tables()
+    assert center_set(prefix, pu) != center_set(old_prefix, pu)
+    expected = {pu, pc}
+    for x in (pu, pc):
+        if center_set(prefix, x) != center_set(old_prefix, x):
+            expected.update(view.nbr_pos[view.indptr[x] : view.indptr[x + 1]].tolist())
+    assert calls[-1] == sorted(expected)
+    assert set(view.nbr_pos[view.indptr[pu] : view.indptr[pu + 1]].tolist()) < expected
+
+
 def test_service_config_rejects_unknown_kernel():
     from repro.service import ServiceConfig
 

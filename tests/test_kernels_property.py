@@ -93,3 +93,92 @@ def test_kernels_match_scalar_on_random_graphs_and_epochs(
     scalar = _run(algorithm, vertices, edges, mutations, seed, "python")
     vectorized = _run(algorithm, vertices, edges, mutations, seed, "numpy")
     assert scalar == vectorized
+
+
+# --------------------------------------------------------------------------- #
+# Patched kernel tables equal from-scratch builds
+# --------------------------------------------------------------------------- #
+def _toggle_ops(data, graph, count):
+    """``count`` valid writes drawn against the live graph.
+
+    A removal picks a row offset, so it lands inside or beyond the row's
+    prefix; an addition appends to both rows (inside the prefix of a short
+    row, beyond it for a long one); ``"again"`` undoes the previous write,
+    so an edge is added and then removed (or the reverse).
+    """
+    vertices = graph.vertices()
+    ops = []
+    for _ in range(count):
+        kind = data.draw(st.sampled_from(["remove", "add", "again"]))
+        if kind == "again" and ops:
+            op, u, v = ops[-1]
+            ops.append(("add" if op == "remove" else "remove", u, v))
+        else:
+            u = data.draw(st.sampled_from(vertices))
+            row = graph.neighbors(u)
+            absent = [v for v in vertices if v != u and v not in row]
+            if row and (kind == "remove" or not absent):
+                j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+                ops.append(("remove", u, row[j]))
+            elif absent:
+                ops.append(("add", u, data.draw(st.sampled_from(absent))))
+            else:
+                continue
+        graph.apply_mutation(*ops[-1])
+    return ops
+
+
+def _assert_same_arrays(np, patched, scratch, names):
+    for name in names:
+        got, want = getattr(patched, name), getattr(scratch, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@relaxed
+@given(
+    n=st.integers(min_value=6, max_value=16),
+    density=st.floats(min_value=0.3, max_value=0.9),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_patched_tables_equal_from_scratch_builds(n, density, seed, data):
+    """After 1-3 writes per read, patched view/prefix/scan tables match a rebuild."""
+    import numpy as np
+
+    from repro import graphs
+    from repro.kernels import spanner3 as kernel_spanner3
+    from repro.kernels.engine import NumpyKernel
+    from repro.kernels.view import build_view
+
+    graph = graphs.gnp_graph(n, density, seed=seed).to_backend("csr")
+    lca = create("spanner3", graph, seed=seed, hitting_constant=1.0)
+    _, _, high, super_block = lca.components
+    variants = [(high.centers, None), (super_block.centers, super_block.threshold)]
+    kernel = NumpyKernel(np)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        # Read a random subset of the variants, so some tables are patched
+        # across several epochs at once.
+        view = kernel.view(graph)
+        scratch = build_view(np, graph)
+        _assert_same_arrays(
+            np, view, scratch,
+            ("ids", "deg", "indptr", "nbr_id", "nbr_pos", "entry_src", "entry_j"),
+        )
+        for system, block in variants:
+            if not data.draw(st.booleans()):
+                continue
+            scan = kernel.scan_tables(view, system, block)
+            prefix = kernel.prefix_tables(view, system)
+            scratch_prefix = kernel_spanner3.build_prefix_tables(np, scratch, system)
+            _assert_same_arrays(
+                np, prefix, scratch_prefix, ("elected", "pc_indptr", "pc_val")
+            )
+            _assert_same_arrays(
+                np, scan,
+                kernel_spanner3.build_scan_tables(np, scratch, scratch_prefix, block),
+                ("kept", "steps", "adj"),
+            )
+        _toggle_ops(data, graph, data.draw(st.integers(min_value=1, max_value=3)))
+        if data.draw(st.booleans()):
+            graph.compact()
