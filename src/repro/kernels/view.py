@@ -135,7 +135,7 @@ def moved_rows(np_module, base: Optional[CSRView], graph, epoch: int):
         return None
     log = graph.mutations_since(base.epoch)[: epoch - base.epoch]
     pos = base.pos
-    return np.unique(np.array([pos[x] for pair in log for x in pair], dtype=np.int64))
+    return np.array(sorted({pos[x] for pair in log for x in pair}), dtype=np.int64)
 
 
 def row_entries(np_module, indptr, rows):
@@ -236,13 +236,21 @@ def build_view(np_module, graph, base: Optional[CSRView] = None) -> Optional[CSR
     if nnz:
         order = np.argsort(ids, kind="stable")
         fresh_pos = order[np.searchsorted(ids[order], fresh_id)]
+        read_rows = np.arange(n, dtype=np.int64) if rows is None else rows
+        read_deg = deg[read_rows]
+        fresh_src = np.repeat(read_rows, read_deg)
+        fresh_j = np.arange(len(fresh_src), dtype=np.int64) - np.repeat(
+            np.cumsum(read_deg) - read_deg, read_deg
+        )
+        fresh = (fresh_id, fresh_pos, fresh_src, fresh_j)
         if rows is None:
-            nbr_id, nbr_pos = fresh_id, fresh_pos
+            nbr_id, nbr_pos, entry_src, entry_j = fresh
         else:
-            nbr_id = splice_rows(np, rows, fresh_id, indptr, base.nbr_id, base.indptr)
-            nbr_pos = splice_rows(np, rows, fresh_pos, indptr, base.nbr_pos, base.indptr)
-        entry_src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        entry_j = np.arange(nnz, dtype=np.int64) - indptr[entry_src]
+            old = (base.nbr_id, base.nbr_pos, base.entry_src, base.entry_j)
+            nbr_id, nbr_pos, entry_src, entry_j = (
+                splice_rows(np, rows, values, indptr, carried, base.indptr)
+                for values, carried in zip(fresh, old)
+            )
     else:
         nbr_id = np.zeros(0, dtype=np.int64)
         nbr_pos = np.zeros(0, dtype=np.int64)
