@@ -77,13 +77,14 @@ class MemoEntry:
     """One memoized value plus its epoch-invalidation metadata.
 
     ``touched`` holds the vertices whose neighbor rows (or degrees, or
-    adjacency rows) the computation read, as a sorted tuple (a memo holds
-    one per entry, and a tuple takes about a quarter of a frozenset's
-    memory); ``epoch`` is the graph's global mutation epoch when the value
-    was stored.  The entry is *fresh* while no
-    touched vertex has mutated since — computations are deterministic, so
-    re-running one whose reads are all unchanged would retrace the same
-    reads and produce the same value (and the same cold probe schedule).
+    adjacency rows) the computation read, as a tuple: a memo holds one per
+    entry, and a tuple takes about a quarter of a frozenset's memory.
+    Entry equality ignores the order of ``touched``.
+    ``epoch`` is the graph's global mutation epoch when the value was
+    stored.  The entry is *fresh* while no touched vertex has mutated
+    since — computations are deterministic, so re-running one whose reads
+    are all unchanged would retrace the same reads and produce the same
+    value (and the same cold probe schedule).
     An entry with an empty ``touched`` set is a pure function of
     ``(seed, key)`` and never goes stale.
     """
@@ -105,11 +106,11 @@ class MemoEntry:
             isinstance(other, MemoEntry)
             and self.value == other.value
             and self.epoch == other.epoch
-            and self.touched == other.touched
+            and set(self.touched) == set(other.touched)
         )
 
     def __hash__(self):  # pragma: no cover - entries are not used as keys
-        return hash((self.value, self.epoch, self.touched))
+        return hash((self.value, self.epoch, frozenset(self.touched)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"MemoEntry({self.value!r}, epoch={self.epoch}, touched={len(self.touched)})"
@@ -355,7 +356,7 @@ class OracleCache:
         self, namespace: Hashable, key: Hashable, value, touched: Set[Vertex]
     ) -> MemoEntry:
         """Store a value computed under a :meth:`track` frame."""
-        touched = tuple(sorted(touched)) if touched else _NO_TOUCHES
+        touched = tuple(touched) if touched else _NO_TOUCHES
         entry = MemoEntry(value, self.graph.epoch, touched)
         self.memo(namespace)[key] = entry
         if self._trackers and touched:
